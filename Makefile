@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover fuzz bench serve-smoke worker-smoke load-smoke trace-smoke probe-smoke ci fmt vet lint
+.PHONY: all build test perfbench-test race cover fuzz bench serve-smoke worker-smoke load-smoke trace-smoke probe-smoke ci fmt vet lint
 
 all: build
 
@@ -15,6 +15,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark (perfbench/) is its own module, so `go test ./...` at the
+# root does not reach its percentile and self-time tests.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Coverage gate: the hot-loop packages must keep internal/core at or above
 # its recorded line coverage (see ci.yml for the canonical threshold).
@@ -88,4 +93,4 @@ vet:
 lint:
 	$(GO) run ./cmd/dcalint ./...
 
-ci: fmt vet lint build race cover fuzz serve-smoke worker-smoke load-smoke trace-smoke probe-smoke
+ci: fmt vet lint build race perfbench-test cover fuzz serve-smoke worker-smoke load-smoke trace-smoke probe-smoke

@@ -43,31 +43,23 @@ import (
 
 func main() {
 	var (
-		bench       = flag.String("bench", "compress", "workload name (see -list)")
-		file        = flag.String("program", "", "assembly file to run instead of a named workload")
-		scheme      = flag.String("scheme", "general", "steering scheme (see -list)")
-		machine     = flag.String("machine", "", "machine override: base | clustered | fifo | ub")
-		clusters    = flag.Int("clusters", 2, "cluster count (2 = the paper's asymmetric machine, else config.ClusteredN)")
-		warmup      = flag.Uint64("warmup", 100_000, "warm-up instructions")
-		measure     = flag.Uint64("measure", 1_000_000, "measured instructions (0 = run to halt)")
-		list        = flag.Bool("list", false, "list workloads and schemes, then exit")
-		pipetrace   = flag.Uint64("pipetrace", 0, "print a pipeline trace for 30 cycles starting at this cycle")
-		legacyTrace = flag.Uint64("trace", 0, "deprecated alias for -pipetrace (kept for old scripts)")
-		replay      = flag.String("replay", "", "fetch the oracle stream from this dcatrace recording instead of the live emulator")
-		attrib      = flag.Bool("attrib", false, "attribute every measured cycle to a stall class and print the breakdown")
-		konata      = flag.String("konata", "", "write a Konata (Kanata) pipeline trace of the run to this file")
-		konataFrom  = flag.Uint64("konata-from", 0, "first cycle of the Konata export window")
-		konataTo    = flag.Uint64("konata-to", 0, "last cycle of the Konata export window (0 = to the end)")
-		disagree    = flag.Bool("disagree", false, "replay one recorded oracle stream through every scheme and print the steering disagreement matrix")
+		bench      = flag.String("bench", "compress", "workload name (see -list)")
+		file       = flag.String("program", "", "assembly file to run instead of a named workload")
+		scheme     = flag.String("scheme", "general", "steering scheme (see -list)")
+		machine    = flag.String("machine", "", "machine override: base | clustered | fifo | ub")
+		clusters   = flag.Int("clusters", 2, "cluster count (2 = the paper's asymmetric machine, else config.ClusteredN)")
+		warmup     = flag.Uint64("warmup", 100_000, "warm-up instructions")
+		measure    = flag.Uint64("measure", 1_000_000, "measured instructions (0 = run to halt)")
+		list       = flag.Bool("list", false, "list workloads and schemes, then exit")
+		pipetrace  = flag.Uint64("pipetrace", 0, "print a pipeline trace for 30 cycles starting at this cycle")
+		replay     = flag.String("replay", "", "fetch the oracle stream from this dcatrace recording instead of the live emulator")
+		attrib     = flag.Bool("attrib", false, "attribute every measured cycle to a stall class and print the breakdown")
+		konata     = flag.String("konata", "", "write a Konata (Kanata) pipeline trace of the run to this file")
+		konataFrom = flag.Uint64("konata-from", 0, "first cycle of the Konata export window")
+		konataTo   = flag.Uint64("konata-to", 0, "last cycle of the Konata export window (0 = to the end)")
+		disagree   = flag.Bool("disagree", false, "replay one recorded oracle stream through every scheme and print the steering disagreement matrix")
 	)
 	flag.Parse()
-	traceAt := *pipetrace
-	if *legacyTrace != 0 {
-		fmt.Fprintln(os.Stderr, "dcasim: -trace is deprecated (it names the oracle trace layer now); use -pipetrace")
-		if traceAt == 0 {
-			traceAt = *legacyTrace
-		}
-	}
 
 	if *list {
 		fmt.Println("workloads:", workload.Names())
@@ -120,7 +112,7 @@ func main() {
 		key string
 		err error
 	)
-	if *file == "" && *machine == "" && traceAt == 0 && *replay == "" {
+	if *file == "" && *machine == "" && *pipetrace == 0 && *replay == "" {
 		// The standard case is one cell of the evaluation grid: plan it as
 		// a canonical job and execute through the run layer.
 		var j job.Job
@@ -141,7 +133,7 @@ func main() {
 			r, err = job.Direct{}.Run(context.Background(), j)
 		}
 	} else {
-		r, cfg, err = runDirect(*file, *bench, *scheme, *machine, *clusters, *warmup, *measure, traceAt, *replay, stack)
+		r, cfg, err = runDirect(*file, *bench, *scheme, *machine, *clusters, *warmup, *measure, *pipetrace, *replay, stack)
 	}
 	if err != nil {
 		fatal(err)

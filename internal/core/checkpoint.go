@@ -55,6 +55,7 @@ func (c *Checkpoint) Restore() *Machine {
 
 // Measure restores the snapshot and measures the next measure instructions
 // (0 = until HALT), exactly as Measure on the warmed machine would have.
+// The restored machine is dropped on return; the record is the caller's.
 func (c *Checkpoint) Measure(measure uint64) (*stats.Run, error) {
 	m := c.Restore()
 	if m == nil {

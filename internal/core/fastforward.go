@@ -92,12 +92,13 @@ func (m *Machine) ffIdle() bool {
 	// stall after it), so it forfeits the skip.
 	if dispatchable {
 		fi := m.dqFront()
-		target := m.resolveTarget(fi)
-		plans, nPlans, err := m.planCopies(fi, target)
+		in := m.inst(fi)
+		target := m.resolveTarget(fi, in)
+		plans, nPlans, err := m.planCopies(fi, in, target)
 		if err != nil || (nPlans > 0 && m.cfg.InterClusterBuses == 0) {
 			return false // step normally and let dispatch surface the error
 		}
-		if !m.dispatchBlocked(fi, target, &plans, nPlans) {
+		if !m.dispatchBlocked(in, target, &plans, nPlans) {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/bpred"
@@ -74,6 +75,9 @@ type Machine struct {
 	decodeQ []fetched
 	dqHead  int
 	dqLen   int
+	// fetchStep is the oracle's output slot, reused by every fetch; its
+	// fields are packed into a decode-ring entry right away.
+	fetchStep emu.Step
 
 	// fetchStallUntil delays fetch (I-cache misses, post-redirect).
 	fetchStallUntil uint64
@@ -184,6 +188,9 @@ func NewWithOracle(cfg *config.Config, p *prog.Program, st Steerer, o Oracle) (*
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkTextFits(len(p.Text)); err != nil {
+		return nil, fmt.Errorf("core: program %q: %w", p.Name, err)
+	}
 	hier, err := mem.NewHierarchy(cfg.Mem)
 	if err != nil {
 		return nil, err
@@ -244,20 +251,43 @@ func NewWithOracle(cfg *config.Config, p *prog.Program, st Steerer, o Oracle) (*
 	return m, nil
 }
 
-// fetched is a decoded instruction waiting for dispatch.
+// checkTextFits rejects a program text too long for the decode ring's
+// 32-bit PCs.
+func checkTextFits(n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("%d instructions exceed the decode ring's %d-instruction PC range", n, math.MaxInt32)
+	}
+	return nil
+}
+
+// fetched is a decoded instruction waiting for dispatch: one decode-ring
+// entry. The ring is the one core structure whose entry count is unbounded
+// (ARCHITECTURE.md, "The allocation-free hot loop"), so an entry keeps only
+// what dispatch and the probe read. The static instruction is re-derived as
+// prog.Text[pc] (the oracle contract makes the stream's PCs index the
+// program), and the branch outcome is consumed by the predictors at fetch.
+// TestDecodeEntrySize pins the size.
 type fetched struct {
-	step        emu.Step
+	seq         uint64 // the oracle's sequence number (DynInst.ProgSeq)
+	memAddr     uint64 // effective address of a load or store
 	availableAt uint64
-	mispredict  bool
+	// probeID is the probe-scoped fetch id (see Probe.Fetch); zero while
+	// no probe is attached.
+	probeID uint64
+	// pc fits: NewWithOracle rejects programs longer than MaxInt32.
+	pc         int32
+	mispredict bool
 	// steered caches the policy's decision: steering happens once at
 	// decode, so dispatch retries after a structural stall must not
 	// consult the policy (and update its tables) again.
 	steered bool
 	target  ClusterID
-	// probeID is the probe-scoped fetch id (see Probe.Fetch); zero while
-	// no probe is attached.
-	probeID uint64
 }
+
+// inst returns the static instruction of a decode-ring entry.
+//
+//dca:hotpath
+func (m *Machine) inst(fi *fetched) isa.Inst { return m.prog.Text[fi.pc] }
 
 // Cycle returns the current cycle number.
 func (m *Machine) Cycle() uint64 { return m.cycle }
@@ -406,7 +436,7 @@ func (m *Machine) growWheel() {
 }
 
 // Run simulates until max committed program instructions (0 = until HALT)
-// and returns the measurement record.
+// and returns the measurement record, which the caller owns.
 func (m *Machine) Run(max uint64) (*stats.Run, error) {
 	return m.RunWithWarmup(0, max)
 }
@@ -415,7 +445,8 @@ func (m *Machine) Run(max uint64) (*stats.Run, error) {
 // (caches and predictors stay warm), resets the statistics, then measures
 // the next measure instructions (0 = until HALT). It is Warm followed by
 // Measure; warm-state checkpointing (see Checkpoint) splits the two so a
-// grid can pay for the warm phase once per reusable key.
+// grid can pay for the warm phase once per reusable key. The returned
+// record is the caller's, as Measure's is.
 func (m *Machine) RunWithWarmup(warmup, measure uint64) (*stats.Run, error) {
 	if err := m.Warm(warmup); err != nil {
 		return nil, err
@@ -440,6 +471,8 @@ func (m *Machine) Warm(warmup uint64) error {
 
 // Measure measures the next measure instructions (0 = until HALT) after a
 // Warm call (or from reset on a fresh machine) and finishes the record.
+// The record is a detached copy owned by the caller: it does not change
+// when the machine runs on, and it does not keep the machine reachable.
 func (m *Machine) Measure(measure uint64) (*stats.Run, error) {
 	target := uint64(0)
 	if measure > 0 {
@@ -463,7 +496,17 @@ func (m *Machine) measureTo(target uint64) (*stats.Run, error) {
 		return nil, err
 	}
 	m.finishMeasurement()
-	return &m.run, nil
+	return m.detachedRun(), nil
+}
+
+// detachedRun returns a copy of the measurement record that shares no
+// memory with the machine: the caller owns it, a later Warm or Measure
+// leaves it unchanged, and holding it does not keep the machine (and its
+// decode ring, caches and predictor tables) reachable.
+func (m *Machine) detachedRun() *stats.Run {
+	r := m.run
+	r.Steered = append([]uint64(nil), m.run.Steered...)
+	return &r
 }
 
 // runUntil is the simulation loop shared by the warm and measure phases:
@@ -611,23 +654,26 @@ func (m *Machine) fetch() {
 			}
 			curLine, haveLine = line, true
 		}
-		// The oracle writes straight into the ring slot (no Step copies);
-		// on error the slot is released again. A live emulator only
-		// errors on malformed programs (a runaway indirect jump); a
-		// replayer also errors on a truncated stream. Either way the
-		// stream cannot continue: latch the error so the run fails loudly
-		// instead of finishing on a quietly shortened stream.
-		fi := m.dqPush()
-		fi.mispredict = false
-		fi.steered = false
-		fi.availableAt = m.cycle + uint64(m.cfg.FrontEndDepth)
-		if err := m.oracle.StepInto(&fi.step); err != nil {
-			m.dqLen--
+		// The oracle writes into the machine's reused step, which is
+		// packed into a ring slot right after. A live emulator only errors
+		// on malformed programs (a runaway indirect jump); a replayer also
+		// errors on a truncated stream. Either way the stream cannot
+		// continue: latch the error so the run fails loudly instead of
+		// finishing on a quietly shortened stream.
+		st := &m.fetchStep
+		if err := m.oracle.StepInto(st); err != nil {
 			m.fetchDone = true
 			m.oracleErr = err
 			return
 		}
-		st := &fi.step
+		fi := m.dqPush()
+		fi.seq = st.Seq
+		fi.memAddr = st.MemAddr
+		fi.availableAt = m.cycle + uint64(m.cfg.FrontEndDepth)
+		fi.probeID = 0
+		fi.pc = int32(st.PC)
+		fi.mispredict = false
+		fi.steered = false
 		op := st.Inst.Op
 		if op == isa.HALT {
 			m.fetchDone = true
@@ -781,7 +827,7 @@ func (m *Machine) capableClusters(op isa.Opcode) ClusterSet {
 // cluster with the most empty FIFOs, falling back to the policy's choice.
 //
 //dca:hotpath
-func (m *Machine) fifoCluster(fi *fetched, forced, fallback ClusterID) ClusterID {
+func (m *Machine) fifoCluster(in isa.Inst, forced, fallback ClusterID) ClusterID {
 	var allowed [config.MaxClusters]ClusterID
 	n := 0
 	if forced != AnyCluster {
@@ -793,7 +839,7 @@ func (m *Machine) fifoCluster(fi *fetched, forced, fallback ClusterID) ClusterID
 		}
 	}
 	var srcsBuf [2]isa.Reg
-	srcs := fi.step.Inst.Srcs(srcsBuf[:0])
+	srcs := in.Srcs(srcsBuf[:0])
 	for i := 0; i < n; i++ {
 		c := allowed[i]
 		q := &m.iqs[c]
@@ -833,19 +879,18 @@ type copyPlan struct {
 	fromReg physReg
 }
 
-// resolveTarget maps an already-steered front instruction to its final
-// placement: out-of-range policy answers clamp to the integer cluster, the
-// capability safety net moves operations to a cluster that can execute them
-// (a policy on a partially symmetric machine could otherwise deadlock an FP
-// multiply in a cluster with only FP adders; the nearest capable cluster,
-// by copy distance with ties to the lowest index, takes over), and in FIFO
-// mode the joint cluster+FIFO heuristic of Palacharla/Jouppi/Smith runs
-// with the policy's choice as tie-break. It is pure: fast-forward's
-// idleness predicate shares it with dispatch.
+// resolveTarget maps an already-steered front instruction (static
+// instruction in) to its final placement: out-of-range policy answers clamp
+// to the integer cluster, the capability safety net moves operations to a
+// cluster that can execute them (a policy on a partially symmetric machine
+// could otherwise deadlock an FP multiply in a cluster with only FP adders;
+// the nearest capable cluster, by copy distance with ties to the lowest
+// index, takes over), and in FIFO mode the joint cluster+FIFO heuristic of
+// Palacharla/Jouppi/Smith runs with the policy's choice as tie-break. It is
+// pure: fast-forward's idleness predicate shares it with dispatch.
 //
 //dca:hotpath
-func (m *Machine) resolveTarget(fi *fetched) ClusterID {
-	in := fi.step.Inst
+func (m *Machine) resolveTarget(fi *fetched, in isa.Inst) ClusterID {
 	target := fi.target
 	if target < 0 || int(target) >= m.cfg.NumClusters() {
 		target = IntCluster
@@ -856,23 +901,24 @@ func (m *Machine) resolveTarget(fi *fetched) ClusterID {
 		}
 	}
 	if m.cfg.Mode == config.IQFIFO {
-		target = m.fifoCluster(fi, m.forcedByPC[fi.step.PC], target)
+		target = m.fifoCluster(in, m.forcedByPC[fi.pc], target)
 	}
 	return target
 }
 
-// planCopies computes the inter-cluster copies that placing fi on target
-// requires: one per source operand without a valid mapping in the target
-// cluster, sourced from the nearest cluster holding the value (by copy
-// latency, ties to the lowest index; on the two-cluster machine simply the
-// other cluster). An instruction reading the same remote register twice
-// needs only one copy. It is pure — reads of the map table only — and the
-// error cases are dispatch-time invariant violations.
+// planCopies computes the inter-cluster copies that placing fi (static
+// instruction in) on target requires: one per source operand without a
+// valid mapping in the target cluster, sourced from the nearest cluster
+// holding the value (by copy latency, ties to the lowest index; on the
+// two-cluster machine simply the other cluster). An instruction reading the
+// same remote register twice needs only one copy. It is pure — reads of the
+// map table only — and the error cases are dispatch-time invariant
+// violations.
 //
 //dca:hotpath
-func (m *Machine) planCopies(fi *fetched, target ClusterID) (plans [2]copyPlan, nPlans int, err error) {
+func (m *Machine) planCopies(fi *fetched, in isa.Inst, target ClusterID) (plans [2]copyPlan, nPlans int, err error) {
 	var srcs [2]isa.Reg
-	nsrc := len(fi.step.Inst.Srcs(srcs[:0]))
+	nsrc := len(in.Srcs(srcs[:0]))
 planSrcs:
 	for i := 0; i < nsrc; i++ {
 		if _, ok := m.rt.lookup(srcs[i], target); ok {
@@ -885,11 +931,11 @@ planSrcs:
 		}
 		from := m.nearestIn(m.rt.home(srcs[i]), target)
 		if from == AnyCluster {
-			return plans, 0, fmt.Errorf("core: register %v mapped nowhere at PC %d", srcs[i], fi.step.PC)
+			return plans, 0, fmt.Errorf("core: register %v mapped nowhere at PC %d", srcs[i], fi.pc)
 		}
 		p, ok := m.rt.lookup(srcs[i], from)
 		if !ok {
-			return plans, 0, fmt.Errorf("core: register %v mapped nowhere at PC %d", srcs[i], fi.step.PC)
+			return plans, 0, fmt.Errorf("core: register %v mapped nowhere at PC %d", srcs[i], fi.pc)
 		}
 		plans[nPlans] = copyPlan{srcIdx: i, logical: srcs[i], from: from, fromReg: p}
 		nPlans++
@@ -907,7 +953,7 @@ planSrcs:
 // dispatch, which keeps the two in lock-step.
 //
 //dca:hotpath
-func (m *Machine) dispatchBlocked(fi *fetched, target ClusterID, plans *[2]copyPlan, nPlans int) bool {
+func (m *Machine) dispatchBlocked(in isa.Inst, target ClusterID, plans *[2]copyPlan, nPlans int) bool {
 	if m.progInFlight+1 > m.cfg.MaxInFlight {
 		return true
 	}
@@ -924,7 +970,7 @@ func (m *Machine) dispatchBlocked(fi *fetched, target ClusterID, plans *[2]copyP
 			return true
 		}
 	}
-	if fi.step.Inst.Op.IsMem() && m.ldst.Free() < 1 {
+	if in.Op.IsMem() && m.ldst.Free() < 1 {
 		return true
 	}
 	return false
@@ -938,13 +984,13 @@ func (m *Machine) dispatch() error {
 		if fi.availableAt > m.cycle {
 			return nil
 		}
-		in := fi.step.Inst
-		forced := m.forcedByPC[fi.step.PC]
+		in := m.inst(fi)
+		forced := m.forcedByPC[fi.pc]
 
 		// Build the steering view and consult the policy for every
 		// program instruction (it maintains its tables in decode order).
 		if !fi.steered {
-			info := m.steerInfo(fi, forced)
+			info := m.steerInfo(fi, in, forced)
 			policy := m.steerer.Steer(info)
 			target := policy
 			if forced != AnyCluster {
@@ -952,20 +998,20 @@ func (m *Machine) dispatch() error {
 			}
 			fi.steered = true
 			fi.target = target
-			m.probeSteered(fi, forced, policy)
+			m.probeSteered(fi, in, forced, policy)
 		}
-		target := m.resolveTarget(fi)
+		target := m.resolveTarget(fi, in)
 
 		// Plan the copies this placement requires.
-		plans, nPlans, err := m.planCopies(fi, target)
+		plans, nPlans, err := m.planCopies(fi, in, target)
 		if err != nil {
 			return err
 		}
 		if nPlans > 0 && m.cfg.InterClusterBuses == 0 {
-			return fmt.Errorf("core: copy required but no inter-cluster buses (PC %d, %v)", fi.step.PC, in)
+			return fmt.Errorf("core: copy required but no inter-cluster buses (PC %d, %v)", fi.pc, in)
 		}
 
-		if m.dispatchBlocked(fi, target, &plans, nPlans) {
+		if m.dispatchBlocked(in, target, &plans, nPlans) {
 			return nil
 		}
 
@@ -973,7 +1019,7 @@ func (m *Machine) dispatch() error {
 		// If dispatch stalls partway (e.g. no FIFO slot), the copies
 		// already inserted stay valid: the next attempt finds the
 		// replicated mappings present and plans no duplicates.
-		d := m.newDynInst(fi)
+		d := m.newDynInst(fi, in)
 		d.Cluster = target
 		for j := 0; j < nPlans; j++ {
 			// srcViaCopy feeds only the probe's stall taxonomy (copy-wait
@@ -1037,30 +1083,27 @@ func (m *Machine) dispatch() error {
 	return nil
 }
 
-// newDynInst builds the DynInst skeleton for a fetched program instruction.
+// newDynInst builds the DynInst skeleton for a fetched program instruction
+// (in is its static instruction).
 //
 //dca:hotpath
-func (m *Machine) newDynInst(fi *fetched) *DynInst {
-	st := fi.step
-	in := st.Inst
+func (m *Machine) newDynInst(fi *fetched, in isa.Inst) *DynInst {
 	d := m.allocDyn()
 	// Zero-then-assign rather than a struct literal: the literal builds a
 	// temporary DynInst and copies it, twice the memory traffic of a clear
 	// plus direct field stores on this per-instruction path.
 	*d = DynInst{}
 	d.Seq = m.seq
-	d.ProgSeq = st.Seq
-	d.PC = st.PC
+	d.ProgSeq = fi.seq
+	d.PC = int(fi.pc)
 	d.Inst = in
 	d.destPhys = noPhys
 	d.prevMapping = noPrevMapping()
 	d.isLoad = in.Op.IsLoad()
 	d.isStore = in.Op.IsStore()
-	d.memAddr = st.MemAddr
+	d.memAddr = fi.memAddr
 	d.memWidth = in.Op.MemWidth()
 	d.isBranch = in.Op.IsBranch()
-	d.taken = st.Taken
-	d.nextPC = st.NextPC
 	d.mispredicted = fi.mispredict
 	d.state = stateWaiting
 	d.readyCycle = m.cycle
@@ -1115,18 +1158,18 @@ func (m *Machine) insertCopy(consumer *DynInst, cp copyPlan, target ClusterID) (
 	return cpy, true
 }
 
-// steerInfo assembles the policy's decode-time view in the machine's
-// reused buffer (policies must not retain it across calls).
+// steerInfo assembles the policy's decode-time view of fi (static
+// instruction in) in the machine's reused buffer (policies must not retain
+// it across calls).
 //
 //dca:hotpath
-func (m *Machine) steerInfo(fi *fetched, forced ClusterID) *SteerInfo {
-	in := fi.step.Inst
+func (m *Machine) steerInfo(fi *fetched, in isa.Inst, forced ClusterID) *SteerInfo {
 	info := &m.steerBuf
 	// Field-wise reset, not a struct literal: zeroing the full per-cluster
 	// arrays every instruction is measurable, and only the first
 	// NumClusters (resp. NumSrcs) entries are meaningful by contract.
 	info.Cycle = m.cycle
-	info.PC = fi.step.PC
+	info.PC = int(fi.pc)
 	info.Inst = in
 	info.Forced = forced
 	info.NumClusters = m.cfg.NumClusters()

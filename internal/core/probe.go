@@ -296,9 +296,9 @@ func (m *Machine) probeFetched(fi *fetched) {
 		fi.probeID = m.probeFetchSeq
 		f := &m.probeFetchBuf
 		f.ID = fi.probeID
-		f.Seq = fi.step.Seq
-		f.PC = fi.step.PC
-		f.Inst = fi.step.Inst
+		f.Seq = fi.seq
+		f.PC = int(fi.pc)
+		f.Inst = m.inst(fi)
 		f.Mispredict = fi.mispredict
 		m.probe.Fetch(m.cycle, f)
 	}
@@ -310,13 +310,13 @@ func (m *Machine) probeFetched(fi *fetched) {
 // step so the record can say which mechanism decided.
 //
 //dca:hotpath
-func (m *Machine) probeSteered(fi *fetched, forced, policy ClusterID) {
+func (m *Machine) probeSteered(fi *fetched, in isa.Inst, forced, policy ClusterID) {
 	if m.probe != nil {
 		dec := &m.probeSteerBuf
 		dec.Cycle = m.cycle
-		dec.ProgSeq = fi.step.Seq
-		dec.PC = fi.step.PC
-		dec.Inst = fi.step.Inst
+		dec.ProgSeq = fi.seq
+		dec.PC = int(fi.pc)
+		dec.Inst = in
 		dec.Forced = forced
 		dec.Policy = policy
 		nc := m.cfg.NumClusters()
@@ -335,14 +335,14 @@ func (m *Machine) probeSteered(fi *fetched, forced, policy ClusterID) {
 			target = IntCluster
 			reason = ReasonClamped
 		}
-		if !m.fus[target].CanEverIssue(fi.step.Inst.Op) && nc > 1 {
-			if c := m.nearestIn(m.capableClusters(fi.step.Inst.Op), target); c != AnyCluster {
+		if !m.fus[target].CanEverIssue(in.Op) && nc > 1 {
+			if c := m.nearestIn(m.capableClusters(in.Op), target); c != AnyCluster {
 				target = c
 				reason = ReasonCapability
 			}
 		}
 		if m.cfg.Mode == config.IQFIFO {
-			if f := m.fifoCluster(fi, m.forcedByPC[fi.step.PC], target); f != target {
+			if f := m.fifoCluster(in, m.forcedByPC[fi.pc], target); f != target {
 				target = f
 				reason = ReasonFIFO
 			}
@@ -472,7 +472,7 @@ func (m *Machine) classifyExecuting() StallClass {
 			if m.progInFlight+1 > m.cfg.MaxInFlight {
 				return ClassROBFull
 			}
-			if fi.step.Inst.Op.IsMem() && m.ldst.Free() < 1 {
+			if m.inst(fi).Op.IsMem() && m.ldst.Free() < 1 {
 				return ClassLSQBlock
 			}
 		}

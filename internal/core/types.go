@@ -212,8 +212,6 @@ type DynInst struct {
 
 	// Branch fields.
 	isBranch     bool
-	taken        bool
-	nextPC       int
 	mispredicted bool
 
 	// waitingConsumer is set on copies when some instruction in the

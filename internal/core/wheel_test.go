@@ -272,13 +272,13 @@ func TestDecodeRingGrowth(t *testing.T) {
 	capBefore := len(m.decodeQ)
 	for i := 0; i < 3; i++ {
 		fi := m.dqPush()
-		fi.step.Seq = uint64(100 + i)
+		fi.seq = uint64(100 + i)
 	}
 	m.dqPop() // offset the head
 	n := capBefore + 10
 	for i := 0; i < n; i++ {
 		fi := m.dqPush()
-		fi.step.Seq = uint64(i)
+		fi.seq = uint64(i)
 	}
 	if len(m.decodeQ) <= capBefore {
 		t.Fatalf("decode ring did not grow: cap %d", len(m.decodeQ))
@@ -286,14 +286,14 @@ func TestDecodeRingGrowth(t *testing.T) {
 	if m.dqLen != 2+n {
 		t.Fatalf("dqLen %d, want %d", m.dqLen, 2+n)
 	}
-	if m.dqFront().step.Seq != 101 {
-		t.Fatalf("front Seq %d, want 101", m.dqFront().step.Seq)
+	if m.dqFront().seq != 101 {
+		t.Fatalf("front Seq %d, want 101", m.dqFront().seq)
 	}
 	m.dqPop()
 	m.dqPop()
 	for i := 0; i < n; i++ {
-		if m.dqFront().step.Seq != uint64(i) {
-			t.Fatalf("entry %d has Seq %d", i, m.dqFront().step.Seq)
+		if m.dqFront().seq != uint64(i) {
+			t.Fatalf("entry %d has Seq %d", i, m.dqFront().seq)
 		}
 		m.dqPop()
 	}

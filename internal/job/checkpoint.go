@@ -11,9 +11,13 @@ import (
 )
 
 // defaultWarmLimit bounds the retained warm snapshots. A snapshot holds a
-// full machine (paged memory image, cache tags, predictor tables); the
-// default comfortably covers a scheme × benchmark × cluster grid while
-// keeping the working set in the tens of megabytes.
+// full machine: paged memory image, cache tags, predictor tables and the
+// decode ring at its grown capacity. The ring dominates on fetch-bound
+// workloads: after vortex's default 100k-instruction warm-up it holds
+// 2^17–2^18 entries, 5–10 MB at 40 B each, while the other benchmarks'
+// rings stay at or below 2,048 entries (80 KB). The default covers a
+// scheme × benchmark × cluster grid; a grid of vortex-like cells retains
+// up to a gigabyte at this limit.
 const defaultWarmLimit = 128
 
 // Checkpointed is a Runner that simulates each job's warm phase at most
